@@ -34,8 +34,11 @@ cargo run -p xtask -- analyze --format sarif --baseline > target/analyze.sarif
 step "cargo build --release"
 cargo build --release
 
-step "cargo test"
-cargo test -q
+step "cargo test (whole workspace)"
+# Every member crate's suite, not only the root package's: serving
+# determinism and backpressure, nn kernel parity, the golden snapshot
+# and the xtask fixtures.
+cargo test --workspace --release -q
 
 step "simd feature matrix"
 # The f32 inference tier ships an opt-in AVX2 dispatch path behind the
@@ -50,7 +53,7 @@ else
 fi
 
 step "serving load-harness smoke"
-# Tiny request counts — proves the snapshot + batched-server path works
+# Tiny request counts — proves the snapshot + server path works
 # end to end (build snapshot, start workers, drain under load). Full
 # numbers come from `cargo run -p xtask -- serving-report` (see
 # BENCH_serving.json).
@@ -89,7 +92,7 @@ fi
 
 if [[ "${RETINA_TSAN:-0}" == "1" ]]; then
     # ThreadSanitizer over the concurrency surface: the serving test
-    # suite (batched server, stress/backpressure races) and the nn
+    # suite (server, stress/backpressure races) and the nn
     # crate's tests (the par worker pool). Complements the static A7–A9
     # passes with a dynamic race detector. Opt-in: needs a nightly
     # toolchain with rust-src — std must be rebuilt instrumented

@@ -188,7 +188,7 @@ pub fn pack_sample(
 
 /// Pack many samples in parallel across `n_threads` worker threads
 /// (the [`nn::par`] chunked work-splitter; the extractor's caches are
-/// `parking_lot` mutexes, so one extractor is shared by all workers).
+/// `std::sync` mutexes, so one extractor is shared by all workers).
 ///
 /// ## Why chunking cannot reorder outputs
 ///

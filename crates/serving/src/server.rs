@@ -1,14 +1,14 @@
-//! The batched prediction server.
+//! The prediction server.
 //!
 //! One bounded queue, N worker threads, one model replica per worker.
-//! Workers accumulate batches up to [`ServerConfig::max_batch`] requests
-//! or [`ServerConfig::max_delay`] of waiting — whichever comes first —
-//! then run each sample through the replica's `predict_proba` (which
-//! reuses the model's pooled `*_into` scratch buffers across requests).
+//! Each worker pops one pending request at a time, runs it through the
+//! replica's `predict_proba` (which reuses the model's pooled `*_into`
+//! scratch buffers across requests) and publishes the result. A request
+//! is served as soon as a worker is free; nothing waits for company.
 //!
-//! Locking is `std::sync::{Mutex, Condvar}` (the vendored `parking_lot`
-//! has no condvar). All lock acquisitions recover from poisoning via
-//! `into_inner` — a panicking peer must degrade service, not wedge it.
+//! Locking is `std::sync::{Mutex, Condvar}`. All lock acquisitions
+//! recover from poisoning via `into_inner` — a panicking peer must
+//! degrade service, not wedge it.
 
 use retina_core::infer32::RetinaF32;
 use retina_core::retina::{PackedSample, Retina};
@@ -16,7 +16,6 @@ use retina_core::snapshot::{Snapshot, SnapshotError};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
 
 /// Numeric tier the worker replicas run in.
 ///
@@ -25,7 +24,7 @@ use std::time::{Duration, Instant};
 /// kernels. Probabilities stay `f64` on the wire; the divergence from
 /// `F64` is bounded by the tolerance contract in `retina_core::infer32`
 /// (DESIGN.md §13), and for a fixed request the answer is bit-identical
-/// regardless of worker count, batch boundaries, or the `simd` feature.
+/// regardless of worker count, submission order, or the `simd` feature.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Precision {
     /// Full-width replicas (`Retina`), the training-time arithmetic.
@@ -44,11 +43,6 @@ pub struct ServerConfig {
     /// Maximum queued (accepted but unprocessed) requests. Submissions
     /// beyond this are rejected with [`SubmitError::QueueFull`].
     pub queue_capacity: usize,
-    /// A worker dispatches as soon as it can take this many requests.
-    pub max_batch: usize,
-    /// A worker dispatches a partial batch after waiting this long for
-    /// more requests. Latency-only: never changes results.
-    pub max_delay: Duration,
     /// Numeric tier of the worker replicas (default: `F64`).
     pub precision: Precision,
 }
@@ -58,8 +52,6 @@ impl Default for ServerConfig {
         Self {
             workers: 0,
             queue_capacity: 256,
-            max_batch: 16,
-            max_delay: Duration::from_millis(2),
             precision: Precision::F64,
         }
     }
@@ -88,13 +80,9 @@ pub struct Prediction {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SubmitError {
     /// The bounded queue is at capacity. `depth` is the queue depth
-    /// observed at rejection time and `retry_after` a resubmission hint
-    /// (one batch deadline).
-    QueueFull {
-        depth: usize,
-        capacity: usize,
-        retry_after: Duration,
-    },
+    /// observed at rejection time. When to resubmit is the caller's
+    /// policy.
+    QueueFull { depth: usize, capacity: usize },
     /// The request disagrees with the model's input dimensions and
     /// would fault a worker.
     InvalidRequest { context: &'static str },
@@ -105,14 +93,9 @@ pub enum SubmitError {
 impl std::fmt::Display for SubmitError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SubmitError::QueueFull {
-                depth,
-                capacity,
-                retry_after,
-            } => write!(
-                f,
-                "queue full ({depth}/{capacity}); retry after {retry_after:?}"
-            ),
+            SubmitError::QueueFull { depth, capacity } => {
+                write!(f, "queue full ({depth}/{capacity})")
+            }
             SubmitError::InvalidRequest { context } => {
                 write!(f, "invalid request: {context}")
             }
@@ -200,8 +183,6 @@ struct Shared {
     /// Signalled on new work and on shutdown.
     work: Condvar,
     queue_capacity: usize,
-    max_batch: usize,
-    max_delay: Duration,
     accepted: AtomicU64,
     completed: AtomicU64,
     rejected: AtomicU64,
@@ -267,8 +248,6 @@ impl PredictionServer {
             }),
             work: Condvar::new(),
             queue_capacity: config.queue_capacity.max(1),
-            max_batch: config.max_batch.max(1),
-            max_delay: config.max_delay,
             accepted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
@@ -325,7 +304,6 @@ impl PredictionServer {
             return Err(SubmitError::QueueFull {
                 depth,
                 capacity: self.shared.queue_capacity,
-                retry_after: self.shared.max_delay,
             });
         }
         state.pending.push_back((request, Arc::clone(&slot)));
@@ -415,65 +393,31 @@ impl Drop for PredictionServer {
     }
 }
 
-/// Worker body: collect a batch (size or deadline cutover), then run it
-/// on this worker's replica outside the queue lock.
+/// Worker body: pop one request, run it on this worker's replica
+/// outside the queue lock, publish the result; exit once shutdown has
+/// been signalled and the queue is drained.
 fn worker_loop(shared: &Shared, model: &mut Replica) {
-    // A batch never exceeds the queue capacity, whatever `max_batch`
-    // says (callers may pass usize::MAX for "drain everything").
-    let mut batch: Vec<(PredictRequest, Arc<Slot>)> =
-        Vec::with_capacity(shared.max_batch.min(shared.queue_capacity));
     loop {
-        {
+        let (req, slot) = {
             let mut state = lock(&shared.state);
             loop {
-                if !state.pending.is_empty() {
-                    if !state.shutting_down && state.pending.len() < shared.max_batch {
-                        // Deadline cutover: wait (bounded) for the batch
-                        // to fill. Affects only latency; the prediction
-                        // for each request is batch-independent.
-                        // lint: allow(determinism) batching deadline is latency-only, results are batch-independent
-                        let deadline = Instant::now() + shared.max_delay;
-                        while state.pending.len() < shared.max_batch && !state.shutting_down {
-                            // lint: allow(determinism) batching deadline is latency-only, results are batch-independent
-                            let now = Instant::now();
-                            if now >= deadline {
-                                break;
-                            }
-                            let (next, timeout) = shared
-                                .work
-                                .wait_timeout(state, deadline - now)
-                                .unwrap_or_else(|e| e.into_inner());
-                            state = next;
-                            if timeout.timed_out() || state.pending.is_empty() {
-                                break;
-                            }
-                        }
-                    }
-                    if state.pending.is_empty() {
-                        // Another worker drained the queue while we
-                        // waited; go back to sleeping for work.
-                        continue;
-                    }
-                    let n = shared.max_batch.min(state.pending.len());
-                    batch.extend(state.pending.drain(..n));
-                    break;
+                if let Some(next) = state.pending.pop_front() {
+                    break next;
                 }
                 if state.shutting_down {
                     return;
                 }
                 state = shared.work.wait(state).unwrap_or_else(|e| e.into_inner());
             }
-        }
-        for (req, slot) in batch.drain(..) {
-            let probabilities = model.predict_proba(&req.sample);
-            let mut result = lock(&slot.result);
-            *result = Some(Prediction {
-                id: req.id,
-                probabilities,
-            });
-            drop(result);
-            slot.ready.notify_all();
-            shared.completed.fetch_add(1, Ordering::Relaxed);
-        }
+        };
+        let probabilities = model.predict_proba(&req.sample);
+        let mut result = lock(&slot.result);
+        *result = Some(Prediction {
+            id: req.id,
+            probabilities,
+        });
+        drop(result);
+        slot.ready.notify_all();
+        shared.completed.fetch_add(1, Ordering::Relaxed);
     }
 }

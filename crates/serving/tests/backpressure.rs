@@ -7,10 +7,16 @@ mod common;
 use common::sample;
 use retina_core::retina::{Retina, RetinaConfig};
 use retina_core::snapshot::Snapshot;
-use serving::{PredictRequest, PredictionServer, ServerConfig, SubmitError};
+use serving::{PredictRequest, PredictionServer, ServerConfig, SubmitError, Ticket};
 use std::time::Duration;
 
 const D_USER: usize = 8;
+/// Candidate rows in the blocker request: enough that its forward pass
+/// outlasts the handful of submissions a test makes behind it.
+const BLOCKER_ROWS: usize = 20_000;
+const BLOCKER_ID: u64 = 1_000;
+/// Pause before resubmitting a request the full queue rejected.
+const RETRY_PAUSE: Duration = Duration::from_micros(100);
 
 fn snapshot() -> Snapshot {
     Snapshot::capture(&Retina::new(D_USER, RetinaConfig::static_default()))
@@ -23,53 +29,64 @@ fn request(id: u64) -> PredictRequest {
     }
 }
 
-/// A server whose single worker sits in a long batch-accumulation wait,
-/// so submissions pile up in the bounded queue deterministically.
-fn slow_server(queue_capacity: usize) -> PredictionServer {
+/// A server with a single worker.
+fn one_worker_server(queue_capacity: usize) -> PredictionServer {
     PredictionServer::start(
         &snapshot(),
         ServerConfig {
             workers: 1,
             queue_capacity,
-            max_batch: usize::MAX,
-            max_delay: Duration::from_secs(3600),
             ..ServerConfig::default()
         },
     )
     .expect("start")
 }
 
+/// Submit one large request and wait until the worker has taken it off
+/// the queue. The worker is then busy in the blocker's forward pass, so
+/// the submissions that follow pile up in the bounded queue.
+fn occupy_worker(server: &PredictionServer) -> Ticket {
+    let ticket = server
+        .submit(PredictRequest {
+            id: BLOCKER_ID,
+            sample: sample(BLOCKER_ROWS, D_USER, 50, 2, BLOCKER_ID),
+        })
+        .expect("blocker accepted");
+    while server.queue_depth() > 0 {
+        std::thread::yield_now();
+    }
+    ticket
+}
+
 #[test]
 fn queue_full_rejection_carries_depth_and_capacity() {
-    let server = slow_server(4);
+    let server = one_worker_server(4);
+    let blocker = occupy_worker(&server);
     let mut tickets = Vec::new();
-    // Fill the queue. The worker may have started batching, but with an
-    // hour-long deadline it drains nothing, so all submissions queue.
+    // Fill the queue. The worker is still inside the blocker, so it
+    // drains nothing and all submissions queue.
     for id in 0..4 {
         tickets.push(server.submit(request(id)).expect("within capacity"));
     }
     match server.submit(request(99)) {
-        Err(SubmitError::QueueFull {
-            depth,
-            capacity,
-            retry_after,
-        }) => {
+        Err(SubmitError::QueueFull { depth, capacity }) => {
             assert_eq!(capacity, 4);
             assert_eq!(depth, 4, "depth should equal capacity at rejection");
-            assert!(retry_after > Duration::ZERO);
         }
         Ok(_) => panic!("submission beyond capacity was accepted"),
         Err(e) => panic!("wrong rejection: {e}"),
     }
+    // The blocker plus the four queued requests.
     let stats = server.stats();
-    assert_eq!(stats.accepted, 4);
+    assert_eq!(stats.accepted, 5);
     assert_eq!(stats.rejected, 1);
 
-    // Graceful drain: shutdown wakes the batching worker, which must
-    // fulfil every accepted request before exiting.
+    // Graceful drain: shutdown arrives with four requests still queued,
+    // and the worker must fulfil every one of them before exiting.
     let final_stats = server.shutdown();
-    assert_eq!(final_stats.accepted, 4);
-    assert_eq!(final_stats.completed, 4, "shutdown dropped queued work");
+    assert_eq!(final_stats.accepted, 5);
+    assert_eq!(final_stats.completed, 5, "shutdown dropped queued work");
+    assert_eq!(blocker.wait().id, BLOCKER_ID);
     for (i, t) in tickets.into_iter().enumerate() {
         let p = t.wait();
         assert_eq!(p.id, i as u64);
@@ -84,8 +101,6 @@ fn no_silent_drops_under_sustained_backpressure() {
         ServerConfig {
             workers: 2,
             queue_capacity: 3,
-            max_batch: 2,
-            max_delay: Duration::from_micros(100),
             ..ServerConfig::default()
         },
     )
@@ -96,11 +111,11 @@ fn no_silent_drops_under_sustained_backpressure() {
     for id in 0..200 {
         match server.submit(request(id)) {
             Ok(t) => tickets.push((id, t)),
-            Err(SubmitError::QueueFull { retry_after, .. }) => {
+            Err(SubmitError::QueueFull { .. }) => {
                 rejected += 1;
-                // Resubmit once after the hint; give up on a second
+                // Resubmit once after a pause; give up on a second
                 // rejection (the caller owns retry policy).
-                std::thread::sleep(retry_after);
+                std::thread::sleep(RETRY_PAUSE);
                 match server.submit(request(id)) {
                     Ok(t) => tickets.push((id, t)),
                     Err(_) => {
@@ -128,7 +143,7 @@ fn no_silent_drops_under_sustained_backpressure() {
 
 #[test]
 fn shutdown_rejects_new_submissions() {
-    let server = slow_server(8);
+    let server = one_worker_server(8);
     let t = server.submit(request(0)).expect("accepted before shutdown");
     server.initiate_shutdown();
     match server.submit(request(1)) {
@@ -145,7 +160,7 @@ fn shutdown_rejects_new_submissions() {
 
 #[test]
 fn invalid_requests_are_rejected_not_panicked() {
-    let server = slow_server(8);
+    let server = one_worker_server(8);
     // Wrong feature width.
     let mut bad = request(0);
     bad.sample.user_rows[0].push(1.0);
@@ -175,13 +190,16 @@ fn invalid_requests_are_rejected_not_panicked() {
 
 #[test]
 fn drop_performs_graceful_drain() {
-    let tickets: Vec<serving::Ticket> = {
-        let server = slow_server(8);
-        (0..5)
+    let (blocker, tickets): (Ticket, Vec<Ticket>) = {
+        let server = one_worker_server(8);
+        let blocker = occupy_worker(&server);
+        let tickets = (0..5)
             .map(|id| server.submit(request(id)).expect("submit"))
-            .collect()
-        // `server` dropped here: drain + join.
+            .collect();
+        (blocker, tickets)
+        // `server` dropped here with five requests queued: drain + join.
     };
+    assert_eq!(blocker.wait().id, BLOCKER_ID);
     for (i, t) in tickets.into_iter().enumerate() {
         assert_eq!(t.wait().id, i as u64);
     }

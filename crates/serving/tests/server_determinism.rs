@@ -19,9 +19,12 @@ use retina_core::trainer::{train_retina, TrainConfig};
 use serving::{PredictRequest, PredictionServer, ServerConfig, SubmitError};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 const N_REQUESTS: u64 = 48;
 const D_USER: usize = 10;
+/// Pause before resubmitting a request the full queue rejected.
+const RETRY_PAUSE: Duration = Duration::from_micros(100);
 
 fn trained_snapshot() -> Snapshot {
     let mut model = Retina::new(D_USER, RetinaConfig::static_default());
@@ -48,7 +51,7 @@ fn submit_with_retry(server: &PredictionServer, id: u64) -> serving::Ticket {
     loop {
         match server.submit(req.clone()) {
             Ok(ticket) => return ticket,
-            Err(SubmitError::QueueFull { retry_after, .. }) => std::thread::sleep(retry_after),
+            Err(SubmitError::QueueFull { .. }) => std::thread::sleep(RETRY_PAUSE),
             Err(e) => panic!("submit failed: {e}"),
         }
     }
@@ -120,8 +123,6 @@ fn predictions_are_identical_across_submission_patterns_and_thread_counts() {
         let config = ServerConfig {
             workers: threads,
             queue_capacity: N_REQUESTS as usize + 8,
-            max_batch: 4,
-            max_delay: std::time::Duration::from_millis(1),
             ..ServerConfig::default()
         };
 

@@ -1,6 +1,6 @@
 //! Concurrency stress: several producer threads submit through
 //! backpressure while a delayed `initiate_shutdown()` races the
-//! workers' batch-deadline cutover. A watchdog bounds the whole run so
+//! workers popping and serving requests. A watchdog bounds the whole run so
 //! a deadlock fails the test instead of hanging CI, and conservation
 //! invariants prove that no accepted request is dropped and no request
 //! completes twice, at worker counts 1, 2 and 8.
@@ -20,6 +20,8 @@ use std::time::Duration;
 const D_USER: usize = 8;
 const PRODUCERS: u64 = 4;
 const PER_PRODUCER: u64 = 50;
+/// Pause before resubmitting a request the full queue rejected.
+const RETRY_PAUSE: Duration = Duration::from_micros(200);
 
 fn snapshot() -> Snapshot {
     Snapshot::capture(&Retina::new(D_USER, RetinaConfig::static_default()))
@@ -55,9 +57,8 @@ where
     }
 }
 
-/// One producer: submit its id range, retrying `QueueFull` after the
-/// server's own `retry_after` hint and abandoning ids once shutdown is
-/// observed. Returns the tickets it got in, waited to completion.
+/// One producer: submit its id range, retrying `QueueFull` after
+/// [`RETRY_PAUSE`] and abandoning ids once shutdown is observed. Returns the tickets it got in, waited to completion.
 fn produce(
     server: &PredictionServer,
     range: std::ops::Range<u64>,
@@ -71,9 +72,7 @@ fn produce(
                     tickets.push((id, t));
                     break;
                 }
-                Err(SubmitError::QueueFull { retry_after, .. }) => {
-                    thread::sleep(retry_after.min(Duration::from_micros(200)));
-                }
+                Err(SubmitError::QueueFull { .. }) => thread::sleep(RETRY_PAUSE),
                 Err(SubmitError::ShutDown) => {
                     gave_up.fetch_add(1, Ordering::Relaxed);
                     continue 'ids;
@@ -85,8 +84,8 @@ fn produce(
     tickets.into_iter().map(|(id, t)| (id, t.wait())).collect()
 }
 
-/// The stress body: producers × bounded queue × tiny batch deadline,
-/// with shutdown initiated mid-flight from a separate thread.
+/// The stress body: producers × bounded queue, with shutdown initiated
+/// mid-flight from a separate thread.
 fn stress(workers: usize) {
     let server = Arc::new(
         PredictionServer::start(
@@ -94,8 +93,6 @@ fn stress(workers: usize) {
             ServerConfig {
                 workers,
                 queue_capacity: 4,
-                max_batch: 3,
-                max_delay: Duration::from_micros(200),
                 ..ServerConfig::default()
             },
         )
@@ -103,9 +100,8 @@ fn stress(workers: usize) {
     );
     let gave_up = Arc::new(AtomicU64::new(0));
 
-    // Delayed shutdown, racing the deadline cutover: by the time it
-    // lands, some requests are queued, some mid-batch, some still
-    // unsubmitted.
+    // Delayed shutdown, racing the workers: by the time it lands, some
+    // requests are queued, some mid-forward, some still unsubmitted.
     let closer = {
         let server = Arc::clone(&server);
         thread::spawn(move || {
@@ -156,16 +152,16 @@ fn stress(workers: usize) {
 }
 
 #[test]
-fn shutdown_races_cutover_one_worker() {
+fn shutdown_races_one_worker() {
     with_watchdog(Duration::from_secs(30), || stress(1));
 }
 
 #[test]
-fn shutdown_races_cutover_two_workers() {
+fn shutdown_races_two_workers() {
     with_watchdog(Duration::from_secs(30), || stress(2));
 }
 
 #[test]
-fn shutdown_races_cutover_eight_workers() {
+fn shutdown_races_eight_workers() {
     with_watchdog(Duration::from_secs(30), || stress(8));
 }

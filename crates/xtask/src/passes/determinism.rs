@@ -14,8 +14,8 @@
 //!    `BTreeSet` or sort before iterating.
 //! 3. **Wall-clock reads** (`Instant::now`, `SystemTime::now`) — warning.
 //!    Timing belongs in the bench crate, not in result paths.
-//! 4. **Ad-hoc thread spawning** (`thread::spawn`, `thread::scope`,
-//!    `crossbeam::scope`) outside the blessed `nn::par` module — error.
+//! 4. **Ad-hoc thread spawning** (`thread::spawn`, `thread::scope`)
+//!    outside the blessed `nn::par` module — error.
 //!    All data-parallel work must route through the `nn::par` splitters
 //!    so the bit-identity contract (disjoint output partitions, serial
 //!    reductions) is enforced in one audited place.
@@ -36,7 +36,7 @@ use std::collections::BTreeSet;
 /// (re-exports only) and the corpus pipeline (`text` sorts hash-built
 /// vocabularies at its boundary). Every other workspace member —
 /// including `serving`, whose *results* must stay deterministic
-/// (batching and worker count only affect latency), and any crate
+/// (scheduling and worker count only affect latency), and any crate
 /// added after this list was written — is held to the
 /// seeded-RNG/ordered-iteration bar of the model crates.
 const EXEMPT: [&str; 4] = ["bench", "root", "text", "xtask"];
@@ -190,7 +190,7 @@ fn check_adhoc_threading(file: &super::AnalyzedFile, findings: &mut Vec<Finding>
         if matches!(t.text.as_str(), "spawn" | "scope")
             && j >= 2
             && toks[j - 1].is_punct("::")
-            && matches!(toks[j - 2].text.as_str(), "thread" | "crossbeam")
+            && toks[j - 2].text == "thread"
         {
             findings.push(finding(
                 path,
@@ -420,7 +420,7 @@ mod tests {
         let f = run_on(
             "crates/core/src/x.rs",
             "fn f() {\n\
-                 crossbeam::scope(|s| { s.spawn(|_| {}); }).unwrap();\n\
+                 std::thread::scope(|s| { s.spawn(|| {}); });\n\
                  let h = std::thread::spawn(|| 1);\n\
                  let _ = h.join();\n\
              }\n",
@@ -434,17 +434,16 @@ mod tests {
     fn blessed_par_module_may_spawn() {
         let f = run_on(
             "crates/nn/src/par.rs",
-            "fn f() { crossbeam::scope(|s| { s.spawn(|_| {}); }).unwrap(); }\n",
+            "fn f() { std::thread::scope(|s| { s.spawn(|| {}); }); }\n",
         );
         assert!(f.is_empty(), "{f:?}");
     }
 
     #[test]
     fn serving_crate_is_in_scope() {
-        // The server's only sanctioned clock use is its batching
-        // deadline, which must carry an allow-comment; a bare clock
-        // read or unseeded RNG in `serving` is flagged like in the
-        // model crates.
+        // The server reads no clock. A bare clock read or unseeded RNG
+        // in `serving` is flagged like in the model crates, and an
+        // allow-comment suppresses it the same way.
         let f = run_on(
             "crates/serving/src/server.rs",
             "fn f() { let t = std::time::Instant::now(); let _ = t; }\n",
@@ -454,8 +453,8 @@ mod tests {
         let f = run_on(
             "crates/serving/src/server.rs",
             "fn f() {\n\
-                 // lint: allow(determinism) batching deadline is latency-only\n\
-                 let deadline = std::time::Instant::now(); let _ = deadline;\n\
+                 // lint: allow(determinism) latency-only timing, not in results\n\
+                 let t = std::time::Instant::now(); let _ = t;\n\
              }\n",
         );
         assert!(f.is_empty(), "{f:?}");

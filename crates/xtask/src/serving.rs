@@ -15,7 +15,7 @@ use crate::bench::parse_duration_ns;
 /// nanoseconds; throughput is predictions per second.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServingEntry {
-    /// Scenario id, e.g. `serve/static_w2_b16`.
+    /// Scenario id, e.g. `serve/static_w2`.
     pub name: String,
     /// Completed predictions per second over the timed window.
     pub pps: f64,
@@ -219,14 +219,14 @@ mod tests {
     fn serving_lines_parse_the_harness_report_format() {
         let out = "   Compiling bench v0.1.0\n\
                    starting warmup...\n\
-                   serving serve/static_w2_b16      pps 14212.7  \
+                   serving serve/static_w2          pps 14212.7  \
                    p50 312.4µs  p99 1.21ms  (4000 requests)\n\
-                   serving serve/dynamic_w4_b8      pps 881.05  \
+                   serving serve/dynamic_w4         pps 881.05  \
                    p50 3.853832ms  p99 11.2ms  (800 requests)\n\
                    random noise line\n";
         let entries = parse_serving_lines(out);
         assert_eq!(entries.len(), 2);
-        assert_eq!(entries[0].name, "serve/static_w2_b16");
+        assert_eq!(entries[0].name, "serve/static_w2");
         assert_eq!(entries[0].pps, 14212.7);
         assert_eq!(entries[0].p50_ns, 312400.0);
         assert_eq!(entries[0].p99_ns, 1.21e6);
@@ -237,14 +237,14 @@ mod tests {
     #[test]
     fn sections_survive_a_render_parse_round_trip() {
         let baseline = vec![ServingEntry {
-            name: "serve/static_w2_b16".into(),
+            name: "serve/static_w2".into(),
             pps: 10000.0,
             p50_ns: 400000.0,
             p99_ns: 2000000.0,
             requests: 4000,
         }];
         let current = vec![ServingEntry {
-            name: "serve/static_w2_b16".into(),
+            name: "serve/static_w2".into(),
             pps: 12000.0,
             p50_ns: 350000.0,
             p99_ns: 1500000.0,
