@@ -1,9 +1,13 @@
 //! Substrate micro-benchmarks: graph generation, TF-IDF, Doc2Vec,
-//! attention forward/backward, GRU BPTT — the building blocks every
+//! attention forward/backward, GRU BPTT, and the Table IV grid's two
+//! costliest fits (PCA, gradient boosting) — the building blocks every
 //! experiment rests on.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use ml::{Classifier, Gbdt, GbdtConfig, Pca};
 use nn::{AttentionF32, ExogenousAttention, Gru, GruF32, Matrix, MatrixF32};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use socialsim::FollowerGraph;
 use std::hint::black_box;
 use text::{Doc2Vec, Doc2VecConfig, TfIdfConfig, TfIdfVectorizer};
@@ -118,9 +122,53 @@ fn bench_nn(c: &mut Criterion) {
     });
 }
 
+/// A seeded training set shaped like the Table IV grid's: 1000 rows of
+/// 850 features (a third sparse TF-IDF-like weights, a third small
+/// counts, a third dense embedding-like values), about 5% positives.
+fn hategen_like(n: usize, d: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<u8>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let x: Vec<Vec<f64>> = (0..n)
+        .map(|_| {
+            (0..d)
+                .map(|f| match f % 3 {
+                    0 if rng.gen_bool(0.9) => 0.0,
+                    0 => rng.gen_range(0.0..1.0),
+                    1 => f64::from(rng.gen_range(0u32..5)),
+                    _ => rng.gen_range(-1.0..1.0),
+                })
+                .collect()
+        })
+        .collect();
+    let y = x
+        .iter()
+        .map(|r| u8::from(r[2] + r[5] + rng.gen_range(-0.5..0.5) > 1.4))
+        .collect();
+    (x, y)
+}
+
+fn bench_ml(c: &mut Criterion) {
+    let (x, y) = hategen_like(1000, 850, 11);
+    // The grid's PCA treatment: 50 components, 12 subspace iterations.
+    c.bench_function("ml/pca_fit_1000x850_k50", |b| {
+        b.iter(|| Pca::fit(black_box(&x), 50, 12, 0))
+    });
+    // The grid's XGBoost row (Table III settings).
+    c.bench_function("ml/gbdt_fit_1000x850", |b| {
+        b.iter(|| {
+            let mut m = Gbdt::new(GbdtConfig {
+                eta: 0.4,
+                reg_alpha: 0.9,
+                ..Default::default()
+            });
+            m.fit(black_box(&x), &y);
+            m
+        })
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_graph, bench_text, bench_nn
+    targets = bench_graph, bench_text, bench_nn, bench_ml
 }
 criterion_main!(benches);

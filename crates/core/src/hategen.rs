@@ -15,6 +15,8 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use socialsim::Dataset;
+use std::borrow::Cow;
+use std::sync::OnceLock;
 
 /// One labelled sample of the hate-generation task.
 #[derive(Debug, Clone)]
@@ -132,6 +134,18 @@ impl Processing {
     }
 }
 
+/// A feature matrix pair `(x_train, x_test)` after a feature-space
+/// treatment.
+type Projected = (Vec<Vec<f64>>, Vec<Vec<f64>>);
+
+/// Rows and labels a cell fits or scores on: borrowed from the pipeline,
+/// or owned when the cell resamples them.
+type Rows<'a> = (Cow<'a, [Vec<f64>]>, Cow<'a, [u8]>);
+
+fn owned<'a>((x, y): (Vec<Vec<f64>>, Vec<u8>)) -> Rows<'a> {
+    (Cow::Owned(x), Cow::Owned(y))
+}
+
 /// The full Table IV pipeline.
 pub struct HategenPipeline {
     /// Training features/labels.
@@ -141,6 +155,12 @@ pub struct HategenPipeline {
     pub x_test: Vec<Vec<f64>>,
     pub y_test: Vec<u8>,
     seed: u64,
+    /// PCA and top-K projections depend only on the split and the seed,
+    /// so each is fitted on first use and shared by every classifier; a
+    /// later edit of the public matrices does not reach them. Left empty
+    /// by `new`: an ablation pipeline runs only Dec-Tree + DS.
+    pca: OnceLock<Projected>,
+    topk: OnceLock<Projected>,
 }
 
 impl HategenPipeline {
@@ -191,6 +211,8 @@ impl HategenPipeline {
             x_test,
             y_test,
             seed,
+            pca: OnceLock::new(),
+            topk: OnceLock::new(),
         }
     }
 
@@ -205,36 +227,48 @@ impl HategenPipeline {
     /// the natural test distribution. Recorded in EXPERIMENTS.md.
     pub fn run_cell(&self, model: ModelKind, proc: Processing) -> ClassificationReport {
         // Feature-space processing fitted on train, applied to both.
-        let (x_train, x_test): (Vec<Vec<f64>>, Vec<Vec<f64>>) = match proc {
+        let (x_train, x_test) = match proc {
             Processing::Pca => {
-                let pca = Pca::fit(&self.x_train, 50, 12, self.seed);
-                (pca.transform(&self.x_train), pca.transform(&self.x_test))
+                let (train, test) = self.pca.get_or_init(|| {
+                    let pca = Pca::fit(&self.x_train, 50, 12, self.seed);
+                    (pca.transform(&self.x_train), pca.transform(&self.x_test))
+                });
+                (train, test)
             }
             Processing::TopK => {
-                let sel = MutualInfoSelector::fit(&self.x_train, &self.y_train, 50, 8);
-                (sel.transform(&self.x_train), sel.transform(&self.x_test))
+                let (train, test) = self.topk.get_or_init(|| {
+                    let sel = MutualInfoSelector::fit(&self.x_train, &self.y_train, 50, 8);
+                    (sel.transform(&self.x_train), sel.transform(&self.x_test))
+                });
+                (train, test)
             }
-            _ => (self.x_train.clone(), self.x_test.clone()),
+            _ => (&self.x_train, &self.x_test),
         };
         // Label sampling.
-        let (x_fit, y_fit) = match proc {
-            Processing::Downsample => {
-                ml::sampling::downsample_majority(&x_train, &self.y_train, 1.0, self.seed)
-            }
-            Processing::UpDown => {
-                ml::sampling::upsample_then_downsample(&x_train, &self.y_train, 3.0, self.seed)
-            }
-            _ => (x_train.clone(), self.y_train.clone()),
+        let (x_fit, y_fit): Rows = match proc {
+            Processing::Downsample => owned(ml::sampling::downsample_majority(
+                x_train,
+                &self.y_train,
+                1.0,
+                self.seed,
+            )),
+            Processing::UpDown => owned(ml::sampling::upsample_then_downsample(
+                x_train,
+                &self.y_train,
+                3.0,
+                self.seed,
+            )),
+            _ => (Cow::Borrowed(x_train), Cow::Borrowed(&self.y_train)),
         };
 
         let mut clf = model.build();
         clf.fit(&x_fit, &y_fit);
         // Balanced test split for the sampled rows (see doc comment).
-        let (x_eval, y_eval) = match proc {
-            Processing::Downsample | Processing::UpDown => {
-                ml::sampling::downsample_majority(&x_test, &self.y_test, 1.0, self.seed ^ 0xE7)
-            }
-            _ => (x_test, self.y_test.clone()),
+        let (x_eval, y_eval): Rows = match proc {
+            Processing::Downsample | Processing::UpDown => owned(
+                ml::sampling::downsample_majority(x_test, &self.y_test, 1.0, self.seed ^ 0xE7),
+            ),
+            _ => (Cow::Borrowed(x_test), Cow::Borrowed(&self.y_test)),
         };
         let scores = clf.predict_proba_batch(&x_eval);
         ClassificationReport::from_scores(&y_eval, &scores)
@@ -299,6 +333,34 @@ mod tests {
         // exp_table4 and is recorded in EXPERIMENTS.md.
         assert!(rep.macro_f1.is_finite() && (0.0..=1.0).contains(&rep.macro_f1));
         assert!(rep.auc.is_finite() && rep.accuracy > 0.2);
+    }
+
+    #[test]
+    fn cached_projections_match_a_fresh_pipeline() {
+        let (data, models) = setup();
+        let silver: Vec<bool> = data.tweets().iter().map(|t| t.hate).collect();
+        let feats = HategenFeatures::new(&data, &models, &silver);
+        let samples = HategenPipeline::build_samples(&data, 30);
+        let samples = &samples[..120.min(samples.len())];
+        let bits = |r: ClassificationReport| [r.macro_f1, r.accuracy, r.auc].map(f64::to_bits);
+
+        // Fill both caches through other classifiers first.
+        let warm = HategenPipeline::new(&feats, samples, None, 3);
+        warm.run_cell(ModelKind::SvmLinear, Processing::Pca);
+        warm.run_cell(ModelKind::LogReg, Processing::TopK);
+        for (model, proc) in [
+            (ModelKind::XgBoost, Processing::Pca),
+            (ModelKind::DecTree, Processing::TopK),
+        ] {
+            let fresh = HategenPipeline::new(&feats, samples, None, 3);
+            assert_eq!(
+                bits(warm.run_cell(model, proc)),
+                bits(fresh.run_cell(model, proc)),
+                "{} + {}",
+                model.name(),
+                proc.name()
+            );
+        }
     }
 
     #[test]

@@ -82,7 +82,7 @@ impl Classifier for AdaBoost {
                 seed: self.config.seed.wrapping_add(round as u64),
                 ..Default::default()
             });
-            stump.fit_weighted(x, y, &w);
+            stump.grow(x, y, &w);
 
             // Weighted error.
             let mut err = 0.0;

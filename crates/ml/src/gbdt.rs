@@ -9,6 +9,7 @@
 
 use crate::linalg::sigmoid;
 use crate::model::{check_fit_inputs, Classifier};
+use std::ops::Range;
 
 /// Hyperparameters for [`Gbdt`].
 #[derive(Debug, Clone)]
@@ -140,38 +141,38 @@ impl Gbdt {
         num * num / (h + self.config.reg_lambda)
     }
 
+    /// Grow one regression tree over the node's rows. `rows` is in
+    /// ascending order, so the gradient sums run in row order; the node
+    /// owns `lo..lo + rows.len()` of every column in `cols`.
     fn build(
         &self,
-        x: &[Vec<f64>],
         grad: &[f64],
         hess: &[f64],
-        idx: Vec<usize>,
+        cols: &mut ColumnOrders,
+        rows: Vec<usize>,
+        lo: usize,
         depth: usize,
     ) -> RNode {
-        let g_sum: f64 = idx.iter().map(|&i| grad[i]).sum();
-        let h_sum: f64 = idx.iter().map(|&i| hess[i]).sum();
+        let g_sum: f64 = rows.iter().map(|&i| grad[i]).sum();
+        let h_sum: f64 = rows.iter().map(|&i| hess[i]).sum();
         let leaf = RNode::Leaf {
             weight: self.leaf_weight(g_sum, h_sum),
         };
-        if depth >= self.config.max_depth || idx.len() < 2 {
+        if depth >= self.config.max_depth || rows.len() < 2 {
             return leaf;
         }
         let parent_score = self.score(g_sum, h_sum);
-        let d = x[0].len();
+        let range = lo..lo + rows.len();
         let mut best: Option<(usize, f64, f64)> = None;
-        let mut vals: Vec<(f64, f64, f64)> = Vec::with_capacity(idx.len());
-        for f in 0..d {
-            vals.clear();
-            for &i in &idx {
-                vals.push((x[i][f], grad[i], hess[i]));
-            }
-            vals.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+        for f in 0..cols.d {
+            let (value, order) = cols.column(f, range.clone());
             let mut gl = 0.0;
             let mut hl = 0.0;
-            for k in 0..vals.len().saturating_sub(1) {
-                gl += vals[k].1;
-                hl += vals[k].2;
-                if vals[k].0 == vals[k + 1].0 {
+            for k in 0..order.len().saturating_sub(1) {
+                let (i, next) = (order[k] as usize, order[k + 1] as usize);
+                gl += grad[i];
+                hl += hess[i];
+                if value[i] == value[next] {
                     continue;
                 }
                 let gr = g_sum - gl;
@@ -182,30 +183,33 @@ impl Gbdt {
                 let gain = 0.5 * (self.score(gl, hl) + self.score(gr, hr) - parent_score)
                     - self.config.gamma;
                 if gain > 0.0 && best.map_or(true, |(_, _, bg)| gain > bg) {
-                    best = Some((f, (vals[k].0 + vals[k + 1].0) / 2.0, gain));
+                    best = Some((f, (value[i] + value[next]) / 2.0, gain));
                 }
             }
         }
         let Some((feature, threshold, _)) = best else {
             return leaf;
         };
-        let (li, ri): (Vec<usize>, Vec<usize>) =
-            idx.into_iter().partition(|&i| x[i][feature] <= threshold);
-        if li.is_empty() || ri.is_empty() {
+        let Some((li, ri)) = cols.split(rows, lo, feature, threshold) else {
             return leaf;
-        }
+        };
+        let mid = lo + li.len();
         RNode::Split {
             feature,
             threshold,
-            left: Box::new(self.build(x, grad, hess, li, depth + 1)),
-            right: Box::new(self.build(x, grad, hess, ri, depth + 1)),
+            left: Box::new(self.build(grad, hess, cols, li, lo, depth + 1)),
+            right: Box::new(self.build(grad, hess, cols, ri, mid, depth + 1)),
         }
     }
-}
 
-impl Classifier for Gbdt {
-    fn fit(&mut self, x: &[Vec<f64>], y: &[u8]) {
-        check_fit_inputs(x, y);
+    /// The boosting loop: each round fits one tree, grown by `grow` from
+    /// the round's (gradient, hessian) statistics.
+    fn boost(
+        &mut self,
+        x: &[Vec<f64>],
+        y: &[u8],
+        mut grow: impl FnMut(&Self, &[f64], &[f64]) -> RNode,
+    ) {
         let n = x.len();
         // Base score: log-odds of the positive rate (XGBoost's default
         // behaviour with base_score=0.5 is margin 0; we use the prior for
@@ -224,9 +228,9 @@ impl Classifier for Gbdt {
                 grad[i] = p - y[i] as f64; // dL/dmargin
                 hess[i] = (p * (1.0 - p)).max(1e-16);
             }
-            let idx: Vec<usize> = (0..n).collect();
-            let root = self.build(x, &grad, &hess, idx, 0);
-            let tree = RegTree { root };
+            let tree = RegTree {
+                root: grow(self, &grad, &hess),
+            };
             for i in 0..n {
                 margins[i] += self.config.eta * tree.predict(&x[i]);
             }
@@ -234,6 +238,126 @@ impl Classifier for Gbdt {
             let shrunk = scale_tree(&tree.root, self.config.eta);
             self.trees.push(RegTree { root: shrunk });
         }
+    }
+}
+
+/// XGBoost's pre-sorted column block (Chen & Guestrin, KDD 2016, §4.1):
+/// each feature's rows are sorted by value once per fit, and every tree
+/// reuses that order instead of sorting at each node.
+///
+/// Precondition: every feature value is finite (`check_fit_inputs`
+/// asserts it). Rows sort by `partial_cmp`, ties in row order; that is a
+/// consistent order only without NaN. `-0.0` and `+0.0` compare equal
+/// and so keep row order, as a stable per-node sort would.
+struct ColumnOrders {
+    n: usize,
+    d: usize,
+    /// `x` transposed: `f * n..(f + 1) * n` holds feature `f` by row, so a
+    /// split search reads one short column instead of a strided gather.
+    values: Vec<f64>,
+    /// Feature-major: `f * n..(f + 1) * n` holds feature `f`'s rows,
+    /// stably sorted by value.
+    sorted: Vec<u32>,
+    /// The current tree's copy of `sorted`. A node owns the same range
+    /// of every feature's block; a split stably partitions that range
+    /// into its children's, so each stays sorted.
+    work: Vec<u32>,
+    /// Per row: does it go to the left child of the node being split?
+    go_left: Vec<bool>,
+    /// Scratch for the right child's rows while partitioning.
+    right: Vec<u32>,
+}
+
+impl ColumnOrders {
+    fn new(x: &[Vec<f64>]) -> Self {
+        let n = x.len();
+        let d = x[0].len();
+        assert!(u32::try_from(n).is_ok(), "GBDT fits at most u32::MAX rows");
+        let mut values = Vec::with_capacity(n * d);
+        let mut sorted = Vec::with_capacity(n * d);
+        for f in 0..d {
+            let start = sorted.len();
+            values.extend(x.iter().map(|row| row[f]));
+            let value = &values[start..];
+            // lint: allow(lossy-cast) n <= u32::MAX is asserted above
+            sorted.extend((0..n).map(|i| i as u32));
+            sorted[start..].sort_by(|&a, &b| {
+                value[a as usize]
+                    .partial_cmp(&value[b as usize])
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            });
+        }
+        Self {
+            n,
+            d,
+            values,
+            work: sorted.clone(),
+            sorted,
+            go_left: vec![false; n],
+            right: Vec::with_capacity(n),
+        }
+    }
+
+    /// Start a new tree: the root owns every row again.
+    fn reset(&mut self) {
+        self.work.copy_from_slice(&self.sorted);
+    }
+
+    /// Feature `f`'s values by row, and the rows of the node owning
+    /// `range` in ascending order of that value.
+    fn column(&self, f: usize, range: Range<usize>) -> (&[f64], &[u32]) {
+        let block = f * self.n..(f + 1) * self.n;
+        (&self.values[block.clone()], &self.work[block][range])
+    }
+
+    /// Split the node owning `lo..lo + rows.len()` at `feature <=
+    /// threshold`. Returns the children's rows, still ascending, after
+    /// stably partitioning that range of every feature's block: left
+    /// child's rows first. `None`, with nothing moved, if a side is empty.
+    fn split(
+        &mut self,
+        rows: Vec<usize>,
+        lo: usize,
+        feature: usize,
+        threshold: f64,
+    ) -> Option<(Vec<usize>, Vec<usize>)> {
+        let value = &self.values[feature * self.n..(feature + 1) * self.n];
+        for &i in &rows {
+            self.go_left[i] = value[i] <= threshold;
+        }
+        let (left, right): (Vec<usize>, Vec<usize>) =
+            rows.into_iter().partition(|&i| self.go_left[i]);
+        if left.is_empty() || right.is_empty() {
+            return None;
+        }
+        let range = lo..lo + left.len() + right.len();
+        for f in 0..self.d {
+            let block = &mut self.work[f * self.n..(f + 1) * self.n][range.clone()];
+            self.right.clear();
+            let mut w = 0;
+            for r in 0..block.len() {
+                let i = block[r];
+                if self.go_left[i as usize] {
+                    block[w] = i;
+                    w += 1;
+                } else {
+                    self.right.push(i);
+                }
+            }
+            block[w..].copy_from_slice(&self.right);
+        }
+        Some((left, right))
+    }
+}
+
+impl Classifier for Gbdt {
+    fn fit(&mut self, x: &[Vec<f64>], y: &[u8]) {
+        check_fit_inputs(x, y);
+        let mut cols = ColumnOrders::new(x);
+        self.boost(x, y, |m, grad, hess| {
+            cols.reset();
+            m.build(grad, hess, &mut cols, (0..x.len()).collect(), 0, 0)
+        });
     }
 
     fn predict_proba(&self, x: &[f64]) -> f64 {
@@ -363,6 +487,219 @@ mod tests {
         });
         m.fit(&x, &y);
         assert_eq!(m.n_trees(), 12);
+    }
+
+    /// The per-node-sort tree builder that `ColumnOrders` replaced, kept
+    /// as the reference the presorted booster must match bit for bit.
+    fn reference_build(
+        m: &Gbdt,
+        x: &[Vec<f64>],
+        grad: &[f64],
+        hess: &[f64],
+        idx: Vec<usize>,
+        depth: usize,
+    ) -> RNode {
+        let g_sum: f64 = idx.iter().map(|&i| grad[i]).sum();
+        let h_sum: f64 = idx.iter().map(|&i| hess[i]).sum();
+        let leaf = RNode::Leaf {
+            weight: m.leaf_weight(g_sum, h_sum),
+        };
+        if depth >= m.config.max_depth || idx.len() < 2 {
+            return leaf;
+        }
+        let parent_score = m.score(g_sum, h_sum);
+        let d = x[0].len();
+        let mut best: Option<(usize, f64, f64)> = None;
+        let mut vals: Vec<(f64, f64, f64)> = Vec::with_capacity(idx.len());
+        for f in 0..d {
+            vals.clear();
+            for &i in &idx {
+                vals.push((x[i][f], grad[i], hess[i]));
+            }
+            vals.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+            let mut gl = 0.0;
+            let mut hl = 0.0;
+            for k in 0..vals.len().saturating_sub(1) {
+                gl += vals[k].1;
+                hl += vals[k].2;
+                if vals[k].0 == vals[k + 1].0 {
+                    continue;
+                }
+                let gr = g_sum - gl;
+                let hr = h_sum - hl;
+                if hl < m.config.min_child_weight || hr < m.config.min_child_weight {
+                    continue;
+                }
+                let gain =
+                    0.5 * (m.score(gl, hl) + m.score(gr, hr) - parent_score) - m.config.gamma;
+                if gain > 0.0 && best.map_or(true, |(_, _, bg)| gain > bg) {
+                    best = Some((f, (vals[k].0 + vals[k + 1].0) / 2.0, gain));
+                }
+            }
+        }
+        let Some((feature, threshold, _)) = best else {
+            return leaf;
+        };
+        let (li, ri): (Vec<usize>, Vec<usize>) =
+            idx.into_iter().partition(|&i| x[i][feature] <= threshold);
+        if li.is_empty() || ri.is_empty() {
+            return leaf;
+        }
+        RNode::Split {
+            feature,
+            threshold,
+            left: Box::new(reference_build(m, x, grad, hess, li, depth + 1)),
+            right: Box::new(reference_build(m, x, grad, hess, ri, depth + 1)),
+        }
+    }
+
+    /// Fit with the presorted builder and with the reference, at the
+    /// grid's settings and at permissive ones that split small sets, for
+    /// depths 1 and 4; margins must agree bit for bit on `x` and `held_out`.
+    fn assert_presort_matches_reference(x: &[Vec<f64>], y: &[u8], held_out: &[Vec<f64>]) {
+        let grid = GbdtConfig {
+            n_rounds: 8,
+            ..Default::default()
+        };
+        let permissive = GbdtConfig {
+            n_rounds: 8,
+            reg_alpha: 0.0,
+            min_child_weight: 0.1,
+            ..Default::default()
+        };
+        for base in [grid, permissive.clone()] {
+            for max_depth in [1, 4] {
+                let config = GbdtConfig {
+                    max_depth,
+                    ..base.clone()
+                };
+                let mut presorted = Gbdt::new(config.clone());
+                presorted.fit(x, y);
+                let mut reference = Gbdt::new(config);
+                reference.boost(x, y, |m, grad, hess| {
+                    reference_build(m, x, grad, hess, (0..x.len()).collect(), 0)
+                });
+                for (r, row) in x.iter().chain(held_out).enumerate() {
+                    assert_eq!(
+                        presorted.decision(row).to_bits(),
+                        reference.decision(row).to_bits(),
+                        "row {r}, max_depth {max_depth}"
+                    );
+                }
+            }
+        }
+        // The permissive booster must have split, or the test shows nothing.
+        let mut m = Gbdt::new(GbdtConfig {
+            max_depth: 1,
+            ..permissive
+        });
+        m.fit(x, y);
+        assert!(m
+            .trees
+            .iter()
+            .any(|t| matches!(t.root, RNode::Split { .. })));
+    }
+
+    /// `n` rows of `d` features drawn by `value`; label 1 when the first
+    /// two features sum above zero, flipped for one row in ten.
+    fn synthetic(
+        n: usize,
+        d: usize,
+        seed: u64,
+        value: impl Fn(&mut StdRng) -> f64,
+    ) -> (Vec<Vec<f64>>, Vec<u8>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let x: Vec<Vec<f64>> = (0..n)
+            .map(|_| (0..d).map(|_| value(&mut rng)).collect())
+            .collect();
+        let y = x
+            .iter()
+            .map(|r| u8::from((r[0] + r[1] > 0.0) != rng.gen_bool(0.1)))
+            .collect();
+        (x, y)
+    }
+
+    fn ties(rng: &mut StdRng) -> f64 {
+        f64::from(rng.gen_range(-2i32..3))
+    }
+
+    #[test]
+    fn presorted_ties_keep_row_order_through_a_split() {
+        let x: Vec<Vec<f64>> = [1.0, -0.0, 0.5, 0.0, -0.0, 1.0, -1.0]
+            .iter()
+            .map(|&v| vec![v])
+            .collect();
+        let mut cols = ColumnOrders::new(&x);
+        // -0.0 and +0.0 tie, as do the two 1.0s: each run keeps row order.
+        assert_eq!(cols.column(0, 0..7).1, [6, 1, 3, 4, 2, 0, 5]);
+        let (left, right) = cols.split((0..7).collect(), 0, 0, 0.25).unwrap();
+        assert_eq!((left, right), (vec![1, 3, 4, 6], vec![0, 2, 5]));
+        assert_eq!(cols.column(0, 0..4).1, [6, 1, 3, 4]);
+        assert_eq!(cols.column(0, 4..7).1, [2, 0, 5]);
+
+        // Long tie runs, past the lengths a sort handles by insertion.
+        let signed = [-0.0, 1.0, 0.0, -1.0, 0.0];
+        let x: Vec<Vec<f64>> = (0..200).map(|i| vec![signed[i * 7 % 5]]).collect();
+        let cols = ColumnOrders::new(&x);
+        let (value, order) = cols.column(0, 0..200);
+        for w in order.windows(2) {
+            let (a, b) = (w[0] as usize, w[1] as usize);
+            assert!(value[a] < value[b] || (value[a] == value[b] && a < b));
+        }
+    }
+
+    #[test]
+    fn presort_matches_reference_on_heavy_ties() {
+        let (x, y) = synthetic(200, 6, 10, ties);
+        let (held_out, _) = synthetic(50, 6, 11, ties);
+        assert_presort_matches_reference(&x, &y, &held_out);
+    }
+
+    #[test]
+    fn presort_matches_reference_on_duplicated_rows() {
+        let (x, mut y) = synthetic(150, 5, 12, |rng| rng.gen_range(-1.0..1.0));
+        // Make positives a small minority, as in the hate-generation grid.
+        for (i, label) in y.iter_mut().enumerate() {
+            *label &= u8::from(i % 4 == 0);
+        }
+        let (xs, ys) = crate::sampling::upsample_then_downsample(&x, &y, 3.0, 5);
+        let distinct: std::collections::BTreeSet<Vec<u64>> = xs
+            .iter()
+            .map(|r| r.iter().map(|v| v.to_bits()).collect())
+            .collect();
+        assert!(distinct.len() < xs.len(), "no duplicated rows");
+        assert_presort_matches_reference(&xs, &ys, &x);
+    }
+
+    #[test]
+    fn presort_matches_reference_on_signed_zeros() {
+        let zeros = |rng: &mut StdRng| match rng.gen_range(0..4) {
+            0 => -0.0,
+            1 => 0.0,
+            2 => -1.0,
+            _ => 1.0,
+        };
+        let (x, y) = synthetic(120, 4, 13, zeros);
+        let (held_out, _) = synthetic(40, 4, 14, zeros);
+        assert!(x
+            .iter()
+            .flatten()
+            .any(|v| v.to_bits() == (-0.0f64).to_bits()));
+        assert_presort_matches_reference(&x, &y, &held_out);
+    }
+
+    #[test]
+    fn presort_matches_reference_with_more_features_than_rows() {
+        let (x, y) = synthetic(12, 40, 15, |rng| rng.gen_range(-1.0..1.0));
+        let (held_out, _) = synthetic(20, 40, 16, |rng| rng.gen_range(-1.0..1.0));
+        assert_presort_matches_reference(&x, &y, &held_out);
+    }
+
+    #[test]
+    fn presort_matches_reference_on_two_rows() {
+        let x = vec![vec![0.5, -1.0], vec![-0.5, 2.0]];
+        let held_out = vec![vec![0.0, 0.0], vec![1.0, -3.0], vec![-1.0, 3.0]];
+        assert_presort_matches_reference(&x, &[1, 0], &held_out);
     }
 
     #[test]

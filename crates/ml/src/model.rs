@@ -40,7 +40,10 @@ pub trait Classifier {
     }
 }
 
-/// Validate a training set shape; panics with a clear message on misuse.
+/// Validate a training set; panics with a clear message on misuse.
+///
+/// Feature values must be finite: the tree learners order rows by
+/// `partial_cmp`, which is no consistent order once a NaN is present.
 pub(crate) fn check_fit_inputs(x: &[Vec<f64>], y: &[u8]) {
     assert_eq!(x.len(), y.len(), "x and y must have the same length");
     assert!(!x.is_empty(), "cannot fit on an empty training set");
@@ -50,4 +53,32 @@ pub(crate) fn check_fit_inputs(x: &[Vec<f64>], y: &[u8]) {
         "all feature rows must have equal dimensionality"
     );
     assert!(y.iter().all(|&l| l <= 1), "labels must be binary (0 or 1)");
+    for (i, row) in x.iter().enumerate() {
+        for (f, v) in row.iter().enumerate() {
+            assert!(
+                v.is_finite(),
+                "feature values must be finite: row {i}, feature {f} is {v}"
+            );
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{AdaBoost, AdaBoostConfig, Gbdt, GbdtConfig};
+
+    #[test]
+    #[should_panic(expected = "feature values must be finite: row 1, feature 0 is NaN")]
+    fn fit_rejects_nan_feature() {
+        let x = [vec![0.0, 1.0], vec![f64::NAN, 1.0], vec![2.0, 0.0]];
+        Gbdt::new(GbdtConfig::default()).fit(&x, &[0, 1, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "feature values must be finite: row 2, feature 1 is inf")]
+    fn fit_rejects_infinite_feature() {
+        let x = [vec![0.0, 1.0], vec![1.0, 1.0], vec![2.0, f64::INFINITY]];
+        AdaBoost::new(AdaBoostConfig::default()).fit(&x, &[0, 1, 0]);
+    }
 }

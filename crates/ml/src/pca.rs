@@ -14,16 +14,18 @@ use rand::{Rng, SeedableRng};
 /// A fitted PCA transform.
 #[derive(Debug, Clone)]
 pub struct Pca {
-    mean: Vec<f64>,
     /// `k` principal axes, each of length `d`.
     components: Vec<Vec<f64>>,
     /// Variance explained by each component.
     explained_variance: Vec<f64>,
+    /// `mean · component` per component: centering folded into one
+    /// subtraction per projected value.
+    mean_proj: Vec<f64>,
 }
 
 impl Pca {
-    /// Fit `k` components. `iters` subspace iterations (20 is plenty for
-    /// the spectra seen here).
+    /// Fit `k` components with `iters` subspace iterations (the Table IV
+    /// grid uses 12).
     pub fn fit(x: &[Vec<f64>], k: usize, iters: usize, seed: u64) -> Self {
         assert!(!x.is_empty(), "PCA needs data");
         let n = x.len();
@@ -31,10 +33,14 @@ impl Pca {
         let k = k.min(d).min(n);
         let mean = crate::linalg::column_means(x);
 
-        // Centered data access without materializing a copy.
-        let centered_dot = |row: &[f64], v: &[f64]| -> f64 {
-            // (row - mean) . v
-            dot(row, v) - dot(&mean, v)
+        // Centered data access without materializing a copy:
+        // (row - mean) · b = row · b - mean_dot[j], with mean_dot[j] =
+        // mean · b computed once per basis vector per iteration.
+        let mut mean_dot = vec![0.0; k];
+        let fill_mean_dot = |mean_dot: &mut [f64], basis: &[Vec<f64>]| {
+            for (md, b) in mean_dot.iter_mut().zip(basis) {
+                *md = dot(&mean, b);
+            }
         };
 
         let mut rng = StdRng::seed_from_u64(seed);
@@ -46,9 +52,10 @@ impl Pca {
         let mut proj = vec![vec![0.0; k]; n];
         for _ in 0..iters {
             // proj = Xc * basisᵀ  (n×k)
+            fill_mean_dot(&mut mean_dot, &basis);
             for (i, row) in x.iter().enumerate() {
                 for (j, b) in basis.iter().enumerate() {
-                    proj[i][j] = centered_dot(row, b);
+                    proj[i][j] = dot(row, b) - mean_dot[j];
                 }
             }
             // basis = Xcᵀ * proj  (k columns of length d)
@@ -70,10 +77,11 @@ impl Pca {
         }
 
         // Explained variance: var of projections along each axis.
+        fill_mean_dot(&mut mean_dot, &basis);
         let mut explained = vec![0.0; k];
         for row in x {
             for (j, b) in basis.iter().enumerate() {
-                let p = centered_dot(row, b);
+                let p = dot(row, b) - mean_dot[j];
                 explained[j] += p * p;
             }
         }
@@ -85,11 +93,12 @@ impl Pca {
         order.sort_by(|&a, &b| explained[b].total_cmp(&explained[a]));
         let components: Vec<Vec<f64>> = order.iter().map(|&j| basis[j].clone()).collect();
         let explained_variance: Vec<f64> = order.iter().map(|&j| explained[j]).collect();
+        let mean_proj: Vec<f64> = order.iter().map(|&j| mean_dot[j]).collect();
 
         Self {
-            mean,
             components,
             explained_variance,
+            mean_proj,
         }
     }
 
@@ -107,7 +116,8 @@ impl Pca {
     pub fn transform_row(&self, row: &[f64]) -> Vec<f64> {
         self.components
             .iter()
-            .map(|c| dot(row, c) - dot(&self.mean, c))
+            .zip(&self.mean_proj)
+            .map(|(c, &m)| dot(row, c) - m)
             .collect()
     }
 

@@ -78,9 +78,16 @@ impl DecisionTree {
         }
     }
 
-    /// Fit with explicit per-sample weights (used by AdaBoost).
+    /// Fit with explicit per-sample weights.
     pub fn fit_weighted(&mut self, x: &[Vec<f64>], y: &[u8], sample_weights: &[f64]) {
         check_fit_inputs(x, y);
+        self.grow(x, y, sample_weights);
+    }
+
+    /// [`DecisionTree::fit_weighted`] on inputs the caller has already
+    /// passed through `check_fit_inputs` (AdaBoost checks once, not once
+    /// per round).
+    pub(crate) fn grow(&mut self, x: &[Vec<f64>], y: &[u8], sample_weights: &[f64]) {
         assert_eq!(sample_weights.len(), x.len());
         self.cached_cw = self.class_weights(y);
         self.n_features = x[0].len();
