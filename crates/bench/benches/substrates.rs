@@ -4,7 +4,7 @@
 //! experiment rests on.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use ml::{Classifier, Gbdt, GbdtConfig, Pca};
+use ml::{AdaBoost, AdaBoostConfig, Classifier, Gbdt, GbdtConfig, Pca};
 use nn::{AttentionF32, ExogenousAttention, Gru, GruF32, Matrix, MatrixF32};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -151,6 +151,17 @@ fn bench_ml(c: &mut Criterion) {
     // The grid's PCA treatment: 50 components, 12 subspace iterations.
     c.bench_function("ml/pca_fit_1000x850_k50", |b| {
         b.iter(|| Pca::fit(black_box(&x), 50, 12, 0))
+    });
+    // The grid's AdaBoost row (Table III settings: 50 stumps, seed 1).
+    c.bench_function("ml/adaboost_fit_1000x850", |b| {
+        b.iter(|| {
+            let mut m = AdaBoost::new(AdaBoostConfig {
+                seed: 1,
+                ..Default::default()
+            });
+            m.fit(black_box(&x), &y);
+            m
+        })
     });
     // The grid's XGBoost row (Table III settings).
     c.bench_function("ml/gbdt_fit_1000x850", |b| {

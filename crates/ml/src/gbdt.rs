@@ -9,7 +9,7 @@
 
 use crate::linalg::sigmoid;
 use crate::model::{check_fit_inputs, Classifier};
-use std::ops::Range;
+use crate::presort::ColumnOrders;
 
 /// Hyperparameters for [`Gbdt`].
 #[derive(Debug, Clone)]
@@ -76,6 +76,7 @@ impl RegTree {
                     left,
                     right,
                 } => {
+                    debug_assert!(*feature < x.len(), "row narrower than the fitted trees");
                     node = if x[*feature] <= *threshold {
                         left
                     } else {
@@ -164,7 +165,7 @@ impl Gbdt {
         let parent_score = self.score(g_sum, h_sum);
         let range = lo..lo + rows.len();
         let mut best: Option<(usize, f64, f64)> = None;
-        for f in 0..cols.d {
+        for f in 0..cols.d() {
             let (value, order) = cols.column(f, range.clone());
             let mut gl = 0.0;
             let mut hl = 0.0;
@@ -190,9 +191,14 @@ impl Gbdt {
         let Some((feature, threshold, _)) = best else {
             return leaf;
         };
-        let Some((li, ri)) = cols.split(rows, lo, feature, threshold) else {
+        let Some((li, ri)) = cols.split(rows, feature, threshold) else {
             return leaf;
         };
+        // Children at `max_depth` are leaves: they read only their rows,
+        // never the column blocks, so those stay as they are.
+        if depth + 1 < self.config.max_depth {
+            cols.reorder(range);
+        }
         let mid = lo + li.len();
         RNode::Split {
             feature,
@@ -241,115 +247,6 @@ impl Gbdt {
     }
 }
 
-/// XGBoost's pre-sorted column block (Chen & Guestrin, KDD 2016, §4.1):
-/// each feature's rows are sorted by value once per fit, and every tree
-/// reuses that order instead of sorting at each node.
-///
-/// Precondition: every feature value is finite (`check_fit_inputs`
-/// asserts it). Rows sort by `partial_cmp`, ties in row order; that is a
-/// consistent order only without NaN. `-0.0` and `+0.0` compare equal
-/// and so keep row order, as a stable per-node sort would.
-struct ColumnOrders {
-    n: usize,
-    d: usize,
-    /// `x` transposed: `f * n..(f + 1) * n` holds feature `f` by row, so a
-    /// split search reads one short column instead of a strided gather.
-    values: Vec<f64>,
-    /// Feature-major: `f * n..(f + 1) * n` holds feature `f`'s rows,
-    /// stably sorted by value.
-    sorted: Vec<u32>,
-    /// The current tree's copy of `sorted`. A node owns the same range
-    /// of every feature's block; a split stably partitions that range
-    /// into its children's, so each stays sorted.
-    work: Vec<u32>,
-    /// Per row: does it go to the left child of the node being split?
-    go_left: Vec<bool>,
-    /// Scratch for the right child's rows while partitioning.
-    right: Vec<u32>,
-}
-
-impl ColumnOrders {
-    fn new(x: &[Vec<f64>]) -> Self {
-        let n = x.len();
-        let d = x[0].len();
-        assert!(u32::try_from(n).is_ok(), "GBDT fits at most u32::MAX rows");
-        let mut values = Vec::with_capacity(n * d);
-        let mut sorted = Vec::with_capacity(n * d);
-        for f in 0..d {
-            let start = sorted.len();
-            values.extend(x.iter().map(|row| row[f]));
-            let value = &values[start..];
-            // lint: allow(lossy-cast) n <= u32::MAX is asserted above
-            sorted.extend((0..n).map(|i| i as u32));
-            sorted[start..].sort_by(|&a, &b| {
-                value[a as usize]
-                    .partial_cmp(&value[b as usize])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
-        }
-        Self {
-            n,
-            d,
-            values,
-            work: sorted.clone(),
-            sorted,
-            go_left: vec![false; n],
-            right: Vec::with_capacity(n),
-        }
-    }
-
-    /// Start a new tree: the root owns every row again.
-    fn reset(&mut self) {
-        self.work.copy_from_slice(&self.sorted);
-    }
-
-    /// Feature `f`'s values by row, and the rows of the node owning
-    /// `range` in ascending order of that value.
-    fn column(&self, f: usize, range: Range<usize>) -> (&[f64], &[u32]) {
-        let block = f * self.n..(f + 1) * self.n;
-        (&self.values[block.clone()], &self.work[block][range])
-    }
-
-    /// Split the node owning `lo..lo + rows.len()` at `feature <=
-    /// threshold`. Returns the children's rows, still ascending, after
-    /// stably partitioning that range of every feature's block: left
-    /// child's rows first. `None`, with nothing moved, if a side is empty.
-    fn split(
-        &mut self,
-        rows: Vec<usize>,
-        lo: usize,
-        feature: usize,
-        threshold: f64,
-    ) -> Option<(Vec<usize>, Vec<usize>)> {
-        let value = &self.values[feature * self.n..(feature + 1) * self.n];
-        for &i in &rows {
-            self.go_left[i] = value[i] <= threshold;
-        }
-        let (left, right): (Vec<usize>, Vec<usize>) =
-            rows.into_iter().partition(|&i| self.go_left[i]);
-        if left.is_empty() || right.is_empty() {
-            return None;
-        }
-        let range = lo..lo + left.len() + right.len();
-        for f in 0..self.d {
-            let block = &mut self.work[f * self.n..(f + 1) * self.n][range.clone()];
-            self.right.clear();
-            let mut w = 0;
-            for r in 0..block.len() {
-                let i = block[r];
-                if self.go_left[i as usize] {
-                    block[w] = i;
-                    w += 1;
-                } else {
-                    self.right.push(i);
-                }
-            }
-            block[w..].copy_from_slice(&self.right);
-        }
-        Some((left, right))
-    }
-}
-
 impl Classifier for Gbdt {
     fn fit(&mut self, x: &[Vec<f64>], y: &[u8]) {
         check_fit_inputs(x, y);
@@ -387,6 +284,7 @@ fn scale_tree(node: &RNode, eta: f64) -> RNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::presort::test_data::{signed_zeros, synthetic, ties};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -600,54 +498,6 @@ mod tests {
             .any(|t| matches!(t.root, RNode::Split { .. })));
     }
 
-    /// `n` rows of `d` features drawn by `value`; label 1 when the first
-    /// two features sum above zero, flipped for one row in ten.
-    fn synthetic(
-        n: usize,
-        d: usize,
-        seed: u64,
-        value: impl Fn(&mut StdRng) -> f64,
-    ) -> (Vec<Vec<f64>>, Vec<u8>) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let x: Vec<Vec<f64>> = (0..n)
-            .map(|_| (0..d).map(|_| value(&mut rng)).collect())
-            .collect();
-        let y = x
-            .iter()
-            .map(|r| u8::from((r[0] + r[1] > 0.0) != rng.gen_bool(0.1)))
-            .collect();
-        (x, y)
-    }
-
-    fn ties(rng: &mut StdRng) -> f64 {
-        f64::from(rng.gen_range(-2i32..3))
-    }
-
-    #[test]
-    fn presorted_ties_keep_row_order_through_a_split() {
-        let x: Vec<Vec<f64>> = [1.0, -0.0, 0.5, 0.0, -0.0, 1.0, -1.0]
-            .iter()
-            .map(|&v| vec![v])
-            .collect();
-        let mut cols = ColumnOrders::new(&x);
-        // -0.0 and +0.0 tie, as do the two 1.0s: each run keeps row order.
-        assert_eq!(cols.column(0, 0..7).1, [6, 1, 3, 4, 2, 0, 5]);
-        let (left, right) = cols.split((0..7).collect(), 0, 0, 0.25).unwrap();
-        assert_eq!((left, right), (vec![1, 3, 4, 6], vec![0, 2, 5]));
-        assert_eq!(cols.column(0, 0..4).1, [6, 1, 3, 4]);
-        assert_eq!(cols.column(0, 4..7).1, [2, 0, 5]);
-
-        // Long tie runs, past the lengths a sort handles by insertion.
-        let signed = [-0.0, 1.0, 0.0, -1.0, 0.0];
-        let x: Vec<Vec<f64>> = (0..200).map(|i| vec![signed[i * 7 % 5]]).collect();
-        let cols = ColumnOrders::new(&x);
-        let (value, order) = cols.column(0, 0..200);
-        for w in order.windows(2) {
-            let (a, b) = (w[0] as usize, w[1] as usize);
-            assert!(value[a] < value[b] || (value[a] == value[b] && a < b));
-        }
-    }
-
     #[test]
     fn presort_matches_reference_on_heavy_ties() {
         let (x, y) = synthetic(200, 6, 10, ties);
@@ -673,14 +523,8 @@ mod tests {
 
     #[test]
     fn presort_matches_reference_on_signed_zeros() {
-        let zeros = |rng: &mut StdRng| match rng.gen_range(0..4) {
-            0 => -0.0,
-            1 => 0.0,
-            2 => -1.0,
-            _ => 1.0,
-        };
-        let (x, y) = synthetic(120, 4, 13, zeros);
-        let (held_out, _) = synthetic(40, 4, 14, zeros);
+        let (x, y) = synthetic(120, 4, 13, signed_zeros);
+        let (held_out, _) = synthetic(40, 4, 14, signed_zeros);
         assert!(x
             .iter()
             .flatten()

@@ -31,6 +31,7 @@ pub mod logreg;
 pub mod metrics;
 pub mod model;
 pub mod pca;
+mod presort;
 pub mod sampling;
 pub mod scaler;
 pub mod svm;

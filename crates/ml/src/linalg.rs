@@ -67,7 +67,10 @@ where
     F: Fn(&[f64]) -> R + Sync,
 {
     let workers = nn::par::resolve(threads).min(x.len().max(1));
-    nn::par::map_indexed(x.len(), workers, |i| f(&x[i]))
+    nn::par::map_indexed(x.len(), workers, |i| {
+        debug_assert!(i < x.len(), "map_indexed hands out indices below its count");
+        f(&x[i])
+    })
 }
 
 /// Per-column mean of a row-major matrix.
@@ -78,6 +81,7 @@ pub fn column_means(x: &[Vec<f64>]) -> Vec<f64> {
     let d = x[0].len();
     let mut m = vec![0.0; d];
     for row in x {
+        debug_assert_eq!(row.len(), d, "rows differ in width");
         for (mi, &v) in m.iter_mut().zip(row) {
             *mi += v;
         }

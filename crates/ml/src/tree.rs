@@ -8,6 +8,7 @@
 //! feature subsampling (used by [`crate::forest::RandomForest`]).
 
 use crate::model::{check_fit_inputs, Classifier};
+use crate::presort::ColumnOrders;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -81,19 +82,35 @@ impl DecisionTree {
     /// Fit with explicit per-sample weights.
     pub fn fit_weighted(&mut self, x: &[Vec<f64>], y: &[u8], sample_weights: &[f64]) {
         check_fit_inputs(x, y);
-        self.grow(x, y, sample_weights);
+        self.grow(x, y, sample_weights, None);
     }
 
     /// [`DecisionTree::fit_weighted`] on inputs the caller has already
     /// passed through `check_fit_inputs` (AdaBoost checks once, not once
-    /// per round).
-    pub(crate) fn grow(&mut self, x: &[Vec<f64>], y: &[u8], sample_weights: &[f64]) {
+    /// per round). With `presorted`, built from this same `x`, the root
+    /// reads each feature's row order from it instead of sorting; nodes
+    /// below the root sort their own rows.
+    pub(crate) fn grow(
+        &mut self,
+        x: &[Vec<f64>],
+        y: &[u8],
+        sample_weights: &[f64],
+        presorted: Option<&ColumnOrders>,
+    ) {
         assert_eq!(sample_weights.len(), x.len());
         self.cached_cw = self.class_weights(y);
         self.n_features = x[0].len();
+        let (wp, wn) = self.cached_cw;
+        // Each row's (positive, negative) weight mass, as every split
+        // search adds it up.
+        let mass: Vec<(f64, f64)> = y
+            .iter()
+            .zip(sample_weights)
+            .map(|(&l, &w)| if l == 1 { (w * wp, 0.0) } else { (0.0, w * wn) })
+            .collect();
         let idx: Vec<usize> = (0..x.len()).collect();
         let mut rng = StdRng::seed_from_u64(self.config.seed);
-        self.root = Some(self.build(x, y, sample_weights, idx, 0, &mut rng));
+        self.root = Some(self.build(x, y, &mass, idx, 0, presorted, &mut rng));
     }
 
     fn class_weights(&self, y: &[u8]) -> (f64, f64) {
@@ -109,18 +126,21 @@ impl DecisionTree {
         )
     }
 
+    /// Grow the subtree over `idx` (ascending). `presorted` is passed to
+    /// the root only, whose rows are all of `x`.
+    #[allow(clippy::too_many_arguments)]
     fn build(
         &self,
         x: &[Vec<f64>],
         y: &[u8],
-        w: &[f64],
+        mass: &[(f64, f64)],
         idx: Vec<usize>,
         depth: usize,
+        presorted: Option<&ColumnOrders>,
         rng: &mut StdRng,
     ) -> Node {
-        let (wp, wn) = self.cached_cw;
-        let w_pos: f64 = idx.iter().filter(|&&i| y[i] == 1).map(|&i| w[i] * wp).sum();
-        let w_neg: f64 = idx.iter().filter(|&&i| y[i] == 0).map(|&i| w[i] * wn).sum();
+        let w_pos: f64 = idx.iter().filter(|&&i| y[i] == 1).map(|&i| mass[i].0).sum();
+        let w_neg: f64 = idx.iter().filter(|&&i| y[i] == 0).map(|&i| mass[i].1).sum();
         let total = w_pos + w_neg;
         let p_pos = if total > 0.0 { w_pos / total } else { 0.5 };
 
@@ -129,7 +149,7 @@ impl DecisionTree {
             return Node::Leaf { p_pos };
         }
 
-        let Some((feature, threshold)) = self.best_split(x, y, w, &idx, rng) else {
+        let Some((feature, threshold)) = self.best_split(x, mass, &idx, presorted, rng) else {
             return Node::Leaf { p_pos };
         };
 
@@ -141,21 +161,23 @@ impl DecisionTree {
         Node::Split {
             feature,
             threshold,
-            left: Box::new(self.build(x, y, w, li, depth + 1, rng)),
-            right: Box::new(self.build(x, y, w, ri, depth + 1, rng)),
+            left: Box::new(self.build(x, y, mass, li, depth + 1, None, rng)),
+            right: Box::new(self.build(x, y, mass, ri, depth + 1, None, rng)),
         }
     }
 
     /// Find the (feature, threshold) minimizing weighted Gini impurity.
+    /// Each feature's rows come in ascending order of value, ties in row
+    /// order: from `presorted` when given (then `idx` is every row),
+    /// else from a stable sort of `idx`.
     fn best_split(
         &self,
         x: &[Vec<f64>],
-        y: &[u8],
-        w: &[f64],
+        mass: &[(f64, f64)],
         idx: &[usize],
+        presorted: Option<&ColumnOrders>,
         rng: &mut StdRng,
     ) -> Option<(usize, f64)> {
-        let (wp, wn) = self.cached_cw;
         let mut features: Vec<usize> = (0..self.n_features).collect();
         if let Some(k) = self.config.max_features {
             features.shuffle(rng);
@@ -166,15 +188,17 @@ impl DecisionTree {
         let mut vals: Vec<(f64, f64, f64)> = Vec::with_capacity(idx.len()); // (x, w_pos, w_neg)
         for &f in &features {
             vals.clear();
-            for &i in idx {
-                let (p, n) = if y[i] == 1 {
-                    (w[i] * wp, 0.0)
-                } else {
-                    (0.0, w[i] * wn)
-                };
-                vals.push((x[i][f], p, n));
+            if let Some(cols) = presorted {
+                debug_assert_eq!(idx.len(), mass.len(), "presorted order is the root's");
+                let (value, order) = cols.root(f);
+                vals.extend(order.iter().map(|&i| {
+                    let (p, n) = mass[i as usize];
+                    (value[i as usize], p, n)
+                }));
+            } else {
+                vals.extend(idx.iter().map(|&i| (x[i][f], mass[i].0, mass[i].1)));
+                vals.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
             }
-            vals.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
             let tot_pos: f64 = vals.iter().map(|v| v.1).sum();
             let tot_neg: f64 = vals.iter().map(|v| v.2).sum();
             let mut left_pos = 0.0;
@@ -239,6 +263,11 @@ impl Classifier for DecisionTree {
     }
 
     fn predict_proba(&self, x: &[f64]) -> f64 {
+        debug_assert_eq!(
+            x.len(),
+            self.n_features,
+            "row width differs from the fitted tree's"
+        );
         // lint: allow(unwrap) API contract: predict requires a prior fit; lint: allow(panic-reach) API contract, not a data-dependent failure
         let mut node = self.root.as_ref().expect("predict before fit");
         loop {

@@ -623,11 +623,13 @@ mod tests {
 
     #[test]
     fn committed_baseline_is_pinned() {
-        // The baseline must shrink, never silently grow: 17 fingerprints,
+        // The baseline must shrink, never silently grow: 13 fingerprints,
         // all grandfathered A4/A5 warnings (re-pinned from 28 when the
         // f32 tier landed: line drift re-fingerprinted the survivors and
         // several grandfathered sites had been fixed; then from 18 when
-        // `nn::map_indexed_dynamic` took a checked slot lookup). Regenerate
+        // `nn::map_indexed_dynamic` took a checked slot lookup; then from
+        // 17 when the tree predictors, `column_means` and `par_map_rows`
+        // took debug-only width guards). Regenerate
         // deliberately with
         // `cargo run -p xtask -- analyze --update-baseline` and re-pin.
         let root = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -638,7 +640,7 @@ mod tests {
         let raw = fs::read_to_string(root.join(baseline::BASELINE_FILE)).expect("baseline exists");
         let entries = raw.matches("fingerprint").count();
         assert_eq!(
-            entries, 17,
+            entries, 13,
             "baseline entry count changed — re-pin deliberately"
         );
         for rule in [
